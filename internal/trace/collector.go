@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/failure"
-	"repro/internal/stats"
 )
 
 // CollectorOptions tunes the backend's robustness envelope. The zero
@@ -36,14 +35,15 @@ type CollectorOptions struct {
 	// immediately after its events are appended to the dataset. It sees
 	// exactly the admitted multiset — duplicate deliveries never reach it —
 	// so a streaming consumer stays equal to the stored dataset. The slice
-	// is freshly decoded per frame and ownership transfers to the hook.
-	// The hook runs on the serve goroutine: it must not block (hand off to
-	// a queue and return).
+	// is freshly decoded per frame and shared with the dataset, which
+	// publishes it without copying: the hook may retain it but must treat
+	// it as read-only. The hook runs on the serve goroutine: it must not
+	// block (hand off to a queue and return).
 	OnAdmit func(events []failure.Event)
-	// AdmitShards is the number of independent admit shards. Dedup marks,
-	// batch/byte accounting, and quantile sketches are partitioned by
-	// DeviceID across shards, so concurrent connections admit without
-	// contending on one mutex. <= 0 uses 16 (matching DefaultShards).
+	// AdmitShards is the number of independent admit shards. Dedup marks
+	// and batch/byte accounting are partitioned by DeviceID across shards,
+	// so concurrent connections admit without contending on one mutex.
+	// <= 0 uses 16 (matching DefaultShards).
 	AdmitShards int
 	// Store, when set, makes admitted batches crash-durable: every fresh
 	// batch is appended to the segment store before its ack is written,
@@ -81,9 +81,6 @@ func (o CollectorOptions) withDefaults() CollectorOptions {
 }
 
 // Collector is the backend TCP server that receives uploaded batches.
-// Alongside storing events it tracks streaming duration percentiles with
-// P² sketches, so operational dashboards get p50/p90/p99 without the
-// backend retaining samples.
 //
 // Ingestion is at-least-once and duplicate-free: sequenced batches carry
 // (DeviceID, Seq) and the collector remembers, per device, the highest
@@ -94,12 +91,14 @@ func (o CollectorOptions) withDefaults() CollectorOptions {
 // the batch is durably appended, and a rebooted collector replays the
 // store to restore both the dataset and the dedup marks.
 //
-// The admit path is sharded by DeviceID: dedup marks, accounting, and
-// quantile sketches live in opt.AdmitShards independent shards, and the
-// dataset append is pinned to the batch's DeviceID shard, so concurrent
-// connections admit in parallel. A device always lands on the same
-// shard, which preserves the per-device dedup ordering — and therefore
-// the admitted-multiset contract OnAdmit consumers rely on (I5).
+// The admit path is sharded by DeviceID: dedup marks and accounting live
+// in opt.AdmitShards independent shards, and the dataset append is pinned
+// to the batch's DeviceID shard, so concurrent connections admit in
+// parallel. A device always lands on the same shard, which preserves the
+// per-device dedup ordering — and therefore the admitted-multiset
+// contract OnAdmit consumers rely on (I5). A v3 frame is kept once: its
+// received bytes go to the store as they are, and its decoded events are
+// published to the dataset and handed to OnAdmit without a copy.
 type Collector struct {
 	ln  net.Listener
 	ds  *Dataset
@@ -130,7 +129,6 @@ type collectorShard struct {
 	batches   int
 	rxBytes   int64
 	dedupHits int64
-	quantiles *stats.QuantileSet
 	_         [32]byte // pad to keep hot shard state off shared cache lines
 }
 
@@ -183,14 +181,8 @@ func NewCollectorWith(addr string, ds *Dataset, opt CollectorOptions) (*Collecto
 		shards: make([]collectorShard, opt.AdmitShards),
 	}
 	for i := range c.shards {
-		qs, err := stats.NewQuantileSet(0.5, 0.9, 0.99)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
 		c.shards[i].lastSeq = make(map[uint64]uint64)
 		c.shards[i].pending = make(map[uint64]*pendingAppend)
-		c.shards[i].quantiles = qs
 	}
 	// Seed the dedup gate from the store's replayed high-water marks: a
 	// batch acked before the previous process died dedups here instead of
@@ -279,26 +271,6 @@ func (c *Collector) SeedMarks(marks map[uint64]uint64) int {
 		mColTakeover.Add(int64(seeded))
 	}
 	return seeded
-}
-
-// DurationQuantiles returns the streaming p50/p90/p99 of received failure
-// durations, in seconds. Per-shard P² sketches are merged at query time
-// (count-weighted), so the admit path never shares a sketch across
-// connections.
-func (c *Collector) DurationQuantiles() (p50, p90, p99 float64) {
-	c.shards[0].mu.Lock()
-	merged := c.shards[0].quantiles.Clone()
-	c.shards[0].mu.Unlock()
-	for i := 1; i < len(c.shards); i++ {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		if sh.quantiles.N() > 0 {
-			merged.Merge(sh.quantiles)
-		}
-		sh.mu.Unlock()
-	}
-	qs := merged.Quantiles()
-	return qs[0], qs[1], qs[2]
 }
 
 // Close stops the collector and waits for in-flight connections. Open
@@ -523,10 +495,10 @@ func (c *Collector) armDeadline(conn net.Conn) {
 }
 
 func (c *Collector) serve(conn net.Conn) {
-	br := bufio.NewReader(conn)
+	fr := frameReader{br: bufio.NewReader(conn)}
 	for {
 		c.armDeadline(conn)
-		if _, err := br.Peek(1); err != nil {
+		if _, err := fr.br.Peek(1); err != nil {
 			// Clean EOF, idle timeout, or drain deadline at a frame
 			// boundary: nothing in flight, nothing lost. Anything else
 			// (e.g. a force-close with unread bytes) counts as a drop.
@@ -536,7 +508,7 @@ func (c *Collector) serve(conn net.Conn) {
 			}
 			return
 		}
-		b, wire, dialect, err := ReadBatchAny(br)
+		b, frame, wire, dialect, err := fr.next()
 		if err != nil {
 			// Malformed or truncated stream: drop the connection. The
 			// batch was never stored, so the device's retry is safe.
@@ -567,12 +539,13 @@ func (c *Collector) serve(conn net.Conn) {
 				return
 			}
 		case admitFresh:
-			perr := c.persist(b)
+			perr := c.persist(b, frame)
 			if perr == nil {
-				// Pin the append to the batch's DeviceID shard:
-				// deterministic placement, and two connections carrying
-				// different devices lock different dataset shards.
-				c.ds.AppendShard(int(b.DeviceID%uint64(c.ds.NumShards())), b.Events...)
+				// Publish the decoded slice itself, pinned to the batch's
+				// DeviceID shard: deterministic placement, and two
+				// connections carrying different devices lock different
+				// dataset shards. OnAdmit shares the same slice.
+				c.ds.PublishShard(int(b.DeviceID%uint64(c.ds.NumShards())), b.Events)
 				mColBatches.Inc()
 				mColEvents.Add(int64(len(b.Events)))
 				mDatasetEvents.Set(float64(c.ds.Len()))
@@ -629,15 +602,9 @@ func (c *Collector) admit(b *Batch, wire int, versioned bool) (admitDecision, *p
 		p := &pendingAppend{seq: b.Seq, done: make(chan struct{})}
 		sh.pending[b.DeviceID] = p
 		sh.batches++
-		for i := range b.Events {
-			sh.quantiles.Add(b.Events[i].Duration.Seconds())
-		}
 		return admitFresh, p
 	}
 	sh.batches++
-	for i := range b.Events {
-		sh.quantiles.Add(b.Events[i].Duration.Seconds())
-	}
 	return admitFresh, nil
 }
 
@@ -646,17 +613,23 @@ func (c *Collector) admit(b *Batch, wire int, versioned bool) (admitDecision, *p
 // flight while a duplicate delivery arrives on another connection.
 var persistHook func(*Batch)
 
-// persist makes b durable before it is acknowledged. Without a store
-// this is a no-op: the in-memory dataset is then the only copy, exactly
-// the pre-store behavior.
-func (c *Collector) persist(b *Batch) error {
+// persist makes b durable before it is acknowledged. A batch that
+// arrived as a v3 frame is stored as the bytes received; a gob-dialect
+// batch (frame nil) is encoded first. Without a store this is a no-op:
+// the in-memory dataset is then the only copy, exactly the pre-store
+// behavior.
+func (c *Collector) persist(b *Batch, frame []byte) error {
 	if h := persistHook; h != nil {
 		h(b)
 	}
-	if c.opt.Store == nil {
+	switch {
+	case c.opt.Store == nil:
 		return nil
+	case frame == nil:
+		return c.opt.Store.Append(b)
+	default:
+		return c.opt.Store.appendFrame(b, frame)
 	}
-	return c.opt.Store.Append(b)
 }
 
 // finishAdmit publishes the outcome of a fresh batch's durable append:

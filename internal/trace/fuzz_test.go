@@ -83,3 +83,49 @@ func FuzzStreamReader(f *testing.F) {
 		})
 	})
 }
+
+// FuzzFrameReader pins the collector's frame reader to the bytes on the
+// wire: a v3 frame it returns is exactly the bytes it consumed, and those
+// bytes decode on their own to the batch ReadBatchAny reads from the same
+// input — so a store holding the frame verbatim replays what was admitted.
+func FuzzFrameReader(f *testing.F) {
+	seed1, _ := AppendBatchV3(nil, &Batch{DeviceID: 3, Seq: 1, Events: sampleEvents(3)})
+	seed2, _ := AppendBatchV3(nil, &Batch{DeviceID: 1, Seq: 9, Events: sampleEvents(400)}) // gzip'd
+	var gob bytesBuffer
+	WriteBatch(&gob, &Batch{DeviceID: 3, Events: sampleEvents(3)})
+	f.Add(seed1)
+	f.Add(append(seed2, seed1...))
+	f.Add([]byte(gob))
+	f.Add([]byte{versionV3, 0, 0, 0, 0, 3, 4, 1, 0x7f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := bytes.NewReader(data)
+		fr := frameReader{br: bufio.NewReader(src)}
+		b, frame, wire, d, err := fr.next()
+		want, wantWire, wantD, wantErr := ReadBatchAny(bufio.NewReader(bytes.NewReader(data)))
+		if (err == nil) != (wantErr == nil) || wire != wantWire || d != wantD {
+			t.Fatalf("frame reader (wire %d, %v, err %v) disagrees with ReadBatchAny (wire %d, %v, err %v)",
+				wire, d, err, wantWire, wantD, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(b, want) {
+			t.Fatalf("frame reader batch %+v != ReadBatchAny batch %+v", b, want)
+		}
+		if d != DialectV3 {
+			if frame != nil {
+				t.Fatalf("%v frame returned %d v3 bytes, want none", d, len(frame))
+			}
+			return
+		}
+		consumed := len(data) - src.Len() - fr.br.Buffered()
+		if len(frame) != wire || consumed != wire || !bytes.Equal(frame, data[:consumed]) {
+			t.Fatalf("frame is %d bytes, wire %d, consumed %d: frame must be exactly the consumed bytes",
+				len(frame), wire, consumed)
+		}
+		again, n, _, err := ReadBatchAny(bufio.NewReader(bytes.NewReader(frame)))
+		if err != nil || n != len(frame) || !reflect.DeepEqual(again, b) {
+			t.Fatalf("stored frame re-reads to %+v (%d bytes, err %v), want %+v", again, n, err, b)
+		}
+	})
+}

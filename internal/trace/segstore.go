@@ -17,17 +17,17 @@ import (
 
 // SegStore is the collector's crash-durable backing store: an append-only
 // directory of fixed-size segment files, each a sequence of v3 wire
-// frames (one frame per admitted batch, reusing the wirev3 encoder and
-// its pooled gzip state). The active segment receives appends; once it
-// crosses SegmentSize it is sealed — sealed segments are immutable and
+// frames (one frame per admitted batch: a received v3 frame verbatim, a
+// gob-dialect batch re-encoded with the wirev3 encoder). The active
+// segment receives appends; once it crosses SegmentSize it is sealed — sealed segments are immutable and
 // can be read from disk without touching the append path. An in-memory
 // index maps (device, seq range) → segment for the /api/segments query
 // path, and per-device seq high-water marks are checkpointed alongside
 // the segments so a restarted collector re-acks retried batches instead
 // of double-storing them.
 //
-// Durability model: Append performs one direct unbuffered write per
-// frame, so once Append returns — and therefore before the collector
+// Durability model: an append performs one direct unbuffered write per
+// frame, so once it returns — and therefore before the collector
 // acks the batch — the frame has left the process (it survives SIGKILL
 // in the page cache; sealing additionally fsyncs the finished file).
 // A crash can leave at most a torn final frame in the active segment,
@@ -341,12 +341,9 @@ func (s *SegStore) openSegmentLocked(id uint64) error {
 	return nil
 }
 
-// Append encodes b as one v3 frame and appends it to the active segment
-// with a single unbuffered write, advancing the index and the device's
-// high-water mark. When the write returns, the frame is durable against
-// process death — callers ack only after Append succeeds. Crossing
-// SegmentSize seals the segment (fsync, mark immutable, checkpoint) and
-// opens the next one.
+// Append encodes b as one v3 frame and appends it (see appendFrame).
+// The collector uses it only for batches that arrived in the gob
+// dialects; a received v3 frame is stored as it came.
 func (s *SegStore) Append(b *Batch) error {
 	fp := getScratch(1 << 10)
 	defer putScratch(fp)
@@ -355,7 +352,17 @@ func (s *SegStore) Append(b *Batch) error {
 		return err
 	}
 	*fp = frame
+	return s.appendFrame(b, frame)
+}
 
+// appendFrame appends one complete v3 frame, whose decoded batch is b, to
+// the active segment with a single unbuffered write, byte for byte, and
+// advances the index and the device's high-water mark from b. The frame
+// must have decoded cleanly: replay reads it back with the same decoder.
+// When the write returns, the frame is durable against process death —
+// callers ack only after it succeeds. Crossing SegmentSize seals the
+// segment (fsync, mark immutable, checkpoint) and opens the next one.
+func (s *SegStore) appendFrame(b *Batch, frame []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

@@ -412,42 +412,6 @@ func TestDatasetWriteStream(t *testing.T) {
 	}
 }
 
-func TestCollectorStreamingQuantiles(t *testing.T) {
-	ds := NewDataset()
-	col, err := NewCollector("127.0.0.1:0", ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	up := NewUploader(col.Addr(), 1)
-	up.SetWiFi(true)
-	// Durations 10..409 seconds across 400 events.
-	events := make([]failure.Event, 400)
-	for i := range events {
-		events[i] = failure.Event{DeviceID: uint64(i), Duration: time.Duration(10+i) * time.Second}
-	}
-	for _, e := range events {
-		up.Record(e)
-	}
-	if err := up.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return ds.Len() == 400 })
-	p50, p90, p99 := col.DurationQuantiles()
-	if p50 < 180 || p50 > 240 {
-		t.Errorf("p50 = %v, want ≈210", p50)
-	}
-	if p90 < 330 || p90 > 400 {
-		t.Errorf("p90 = %v, want ≈370", p90)
-	}
-	if p99 < 380 || p99 > 410 {
-		t.Errorf("p99 = %v, want ≈405", p99)
-	}
-	if !(p50 < p90 && p90 < p99) {
-		t.Errorf("quantiles not ordered: %v %v %v", p50, p90, p99)
-	}
-}
-
 func TestFilterAndMerge(t *testing.T) {
 	ds := NewDataset()
 	ds.Append(sampleEvents(30)...)

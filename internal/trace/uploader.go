@@ -34,7 +34,7 @@ var (
 // connectivity").
 //
 // Delivery is at-least-once and duplicate-free (v2 wire protocol, see
-// wire.go): Flush seals the pending buffer into a batch with a
+// wire.go): Flush seals the pending buffer into batches, each with a
 // device-local sequence number, and a sealed batch is retained — in
 // memory, or in the spill WAL once the buffer cap forces it to disk —
 // until the collector acknowledges that exact sequence number. Failed
@@ -287,19 +287,28 @@ func (u *Uploader) enforceLimitLocked() {
 	}
 }
 
-// sealLocked moves the pending buffer into a sealed batch carrying the
-// next sequence number. The seq is assigned exactly once; retries re-send
-// the identical batch so the collector can dedup it.
+// maxBatchEvents caps the events sealed into one batch. A fleet shard
+// uploader buffers its whole output until its final flush; sealed as one
+// batch, a large shard would exceed maxBatchWire, the encoder would
+// refuse it, and the flush could never succeed. An event encodes to at
+// most a few hundred bytes in either dialect, so this many events stay
+// far below the limit.
+const maxBatchEvents = 1 << 14
+
+// sealLocked moves the pending buffer into sealed batches of at most
+// maxBatchEvents events, each carrying the next sequence number. A seq
+// is assigned exactly once; retries re-send the identical batch so the
+// collector can dedup it.
 func (u *Uploader) sealLocked() {
-	if len(u.pending) == 0 {
-		return
+	for lo := 0; lo < len(u.pending); lo += maxBatchEvents {
+		hi := min(lo+maxBatchEvents, len(u.pending))
+		u.nextSeq++
+		u.sealed = append(u.sealed, &Batch{
+			DeviceID: u.deviceID,
+			Seq:      u.nextSeq,
+			Events:   append([]failure.Event(nil), u.pending[lo:hi]...),
+		})
 	}
-	u.nextSeq++
-	u.sealed = append(u.sealed, &Batch{
-		DeviceID: u.deviceID,
-		Seq:      u.nextSeq,
-		Events:   append([]failure.Event(nil), u.pending...),
-	})
 	u.pending = u.pending[:0]
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -607,27 +608,31 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 	return b, nil
 }
 
-// readBatchV3Body reads one v3 frame after its 0xA3 tag has been
-// consumed, returning the batch and the bytes read (excluding the tag).
-func readBatchV3Body(r io.Reader) (*Batch, int, error) {
-	var hdr [5]byte // flags + uint32 BE body length
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, fmt.Errorf("trace: read v3 batch header: %w", err)
+// readFrameV3 reads one v3 frame, tag included, into buf's storage and
+// decodes it. It returns the batch and the frame exactly as received —
+// tag, flags, length, body — in buf's (possibly grown) storage. On error
+// the frame is empty but keeps the grown capacity, so a caller reusing
+// the buffer does not reallocate. This is the only v3 read path:
+// ReadBatchAny runs it on pooled scratch, the collector on a
+// per-connection buffer whose frames it stores verbatim.
+func readFrameV3(r io.Reader, buf []byte) (*Batch, []byte, error) {
+	const hdrLen = 6 // tag + flags + uint32 BE body length
+	frame := append(buf[:0], make([]byte, hdrLen)...)
+	if _, err := io.ReadFull(r, frame); err != nil {
+		return nil, frame[:0], fmt.Errorf("trace: read v3 batch header: %w", err)
 	}
-	flags := hdr[0]
-	if flags&^byte(v3FlagGzip) != 0 {
-		return nil, 0, errV3Malformed
+	flags := frame[1]
+	if frame[0] != versionV3 || flags&^byte(v3FlagGzip) != 0 {
+		return nil, frame[:0], errV3Malformed
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
+	n := binary.BigEndian.Uint32(frame[2:])
 	if n == 0 || n > maxBatchWire {
-		return nil, 0, fmt.Errorf("trace: implausible v3 batch size %d", n)
+		return nil, frame[:0], fmt.Errorf("trace: implausible v3 batch size %d", n)
 	}
-	bodyP := getScratch(int(n))
-	defer putScratch(bodyP)
-	body := (*bodyP)[:n]
-	*bodyP = body
+	frame = slices.Grow(frame, int(n))[:hdrLen+int(n)]
+	body := frame[hdrLen:]
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, 0, fmt.Errorf("trace: read v3 batch payload: %w", err)
+		return nil, frame[:0], fmt.Errorf("trace: read v3 batch payload: %w", err)
 	}
 
 	payload := body
@@ -635,16 +640,16 @@ func readBatchV3Body(r io.Reader) (*Batch, int, error) {
 	if flags&v3FlagGzip != 0 {
 		zr, err := getGzipReader(bytesReader(body))
 		if err != nil {
-			return nil, 0, fmt.Errorf("trace: decompress v3 batch: %w", err)
+			return nil, frame[:0], fmt.Errorf("trace: decompress v3 batch: %w", err)
 		}
 		rawP = getScratch(4 * int(n))
 		raw, err := readAllLimit((*rawP)[:0], zr, maxBatchWire)
 		putGzipReader(zr)
+		*rawP = raw
 		if err != nil {
 			putScratch(rawP)
-			return nil, 0, fmt.Errorf("trace: decompress v3 batch: %w", err)
+			return nil, frame[:0], fmt.Errorf("trace: decompress v3 batch: %w", err)
 		}
-		*rawP = raw
 		payload = raw
 	}
 	b, err := decodeBatchV3(payload)
@@ -652,9 +657,9 @@ func readBatchV3Body(r io.Reader) (*Batch, int, error) {
 		putScratch(rawP)
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, frame[:0], err
 	}
-	return b, len(hdr) + int(n), nil
+	return b, frame, nil
 }
 
 // readAllLimit appends r's contents to dst, erroring past limit bytes —
@@ -703,25 +708,50 @@ func putGzipReader(zr *gzip.Reader) {
 // io.EOF is returned only for a stream ending cleanly at a frame
 // boundary.
 func ReadBatchAny(br *bufio.Reader) (*Batch, int, Dialect, error) {
-	first, err := br.Peek(1)
+	p := getScratch(0)
+	fr := frameReader{br: br, buf: (*p)[:0]}
+	b, _, wire, d, err := fr.next()
+	*p = fr.buf
+	putScratch(p)
+	return b, wire, d, err
+}
+
+// frameReader reads upload frames of any dialect off one stream (see
+// ReadBatchAny). Each v3 frame is read into buf, which is reused from
+// frame to frame, so a long-lived reader — the collector keeps one per
+// connection — reads without allocating beyond the decoded events.
+type frameReader struct {
+	br  *bufio.Reader
+	buf []byte
+}
+
+// next reads and decodes one frame. For a v3 frame, frame is its complete
+// received bytes (tag, flags, length, body); it aliases the reader's
+// buffer and is valid until the next call. The gob dialects have no v3
+// frame to keep, so frame is nil for them. wire is the bytes consumed,
+// tag included.
+func (fr *frameReader) next() (b *Batch, frame []byte, wire int, d Dialect, err error) {
+	first, err := fr.br.Peek(1)
 	if err != nil {
 		if err == io.EOF {
-			return nil, 0, 0, io.EOF
+			return nil, nil, 0, 0, io.EOF
 		}
-		return nil, 0, 0, fmt.Errorf("trace: read batch tag: %w", err)
+		return nil, nil, 0, 0, fmt.Errorf("trace: read batch tag: %w", err)
 	}
 	switch first[0] {
 	case versionV3:
-		br.ReadByte()
-		b, n, err := readBatchV3Body(br)
-		return b, n + 1, DialectV3, err
+		b, fr.buf, err = readFrameV3(fr.br, fr.buf)
+		if err != nil {
+			return nil, nil, 0, DialectV3, err
+		}
+		return b, fr.buf, len(fr.buf), DialectV3, nil
 	case versionV2:
-		br.ReadByte()
-		b, n, err := ReadBatch(br)
-		return b, n + 1, DialectV2, err
+		fr.br.ReadByte()
+		b, n, err := ReadBatch(fr.br)
+		return b, nil, n + 1, DialectV2, err
 	default:
-		b, n, err := ReadBatch(br)
-		return b, n, DialectV1, err
+		b, n, err := ReadBatch(fr.br)
+		return b, nil, n, DialectV1, err
 	}
 }
 
