@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -35,11 +36,20 @@ func orderedDigest(t *testing.T, res *Result) [32]byte {
 	return out
 }
 
+// calmOrderedDigest is the ordered digest of TestLaneRunnerEquivalence's
+// calm scenario (seed 99, 300 devices, 13,899 events). Comparing the arms
+// only with each other would let a change that alters the dataset the same
+// way in every arm pass; the pinned value catches it. Any intentional
+// change to the simulator's output (draw sequence, event fields, merge
+// order) must update it.
+const calmOrderedDigest = "e6da8bf5786c7aad5c9f6b9406117621d990786d88e0fa27eee34e42f7f9f26f"
+
 // TestLaneRunnerEquivalence pins the load-bearing contract of the lane
 // runner: simulating each device on its own reused lane produces the
 // byte-identical ordered digest — events in identical order, identical
 // aggregates, identical fault reports — as the legacy shared-queue
-// architecture, for any worker count, calm and faulted.
+// architecture, for any worker count, calm and faulted. The calm digest
+// is also checked against calmOrderedDigest.
 func TestLaneRunnerEquivalence(t *testing.T) {
 	for _, faulted := range []bool{false, true} {
 		name := "calm"
@@ -74,6 +84,9 @@ func TestLaneRunnerEquivalence(t *testing.T) {
 					want = d
 					if res.Dataset.Len() == 0 {
 						t.Fatal("no events produced")
+					}
+					if got := hex.EncodeToString(d[:]); !faulted && got != calmOrderedDigest {
+						t.Errorf("%s calm ordered digest %s, want pinned %s", arm.name, got, calmOrderedDigest)
 					}
 					continue
 				}

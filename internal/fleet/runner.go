@@ -1,8 +1,9 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -139,9 +140,10 @@ type shardOut struct {
 	overhead  OverheadSummary
 	integrity IntegrityReport
 	// events is the worker's buffered event output (direct-append runs
-	// only), sorted by the canonical (Start, DeviceID, record index) key;
-	// Run merges the workers' streams into the shared dataset.
-	events []failure.Event
+	// only): each event stored once, in record order, in fixed-capacity
+	// chunks, with keys listing it in canonical (Start, DeviceID, record
+	// index) order. Run gathers the workers' streams into the dataset.
+	events eventBuf
 	// recordedDigest/recordedEvents summarize the events this shard's
 	// devices recorded, accumulated before the uploader (and any injected
 	// network fault) touches them — the ground truth side of invariant I4.
@@ -158,9 +160,10 @@ type monitorAgg struct {
 }
 
 // shardIO is the event-delivery half of a worker: events either buffer
-// locally (sortCanonical then merged by Run) or stream to a TCP uploader.
+// locally in chunks (key-sorted by finish, gathered by Run's
+// publishMerged) or stream to a TCP uploader.
 type shardIO struct {
-	buffer   []failure.Event
+	buffer   eventBuf
 	uploader *trace.Uploader
 }
 
@@ -213,17 +216,20 @@ func (sio *shardIO) setup(s *Scenario, state *shardState, inj *faultinject.Injec
 			sio.uploader.Record(e)
 			return
 		}
-		sio.buffer = append(sio.buffer, e)
+		sio.buffer.add(&e)
 	}
 	return nil
 }
 
-// finish flushes the uploader (with retries) or sorts the local buffer
-// into canonical order for Run's cross-worker merge.
+// finish flushes the uploader (with retries) or sorts the local buffer's
+// keys into canonical order for Run's cross-worker merge.
 func (sio *shardIO) finish(inj *faultinject.Injector, out *shardOut) {
 	if sio.uploader == nil {
-		sortCanonical(sio.buffer)
+		sio.buffer.sortCanonical()
 		out.events = sio.buffer
+		// state.sink still references sio: drop its handle so the chunks
+		// die when publishMerged drops out.events.
+		sio.buffer = eventBuf{}
 		return
 	}
 	sio.uploader.SetWiFi(true)
@@ -417,55 +423,105 @@ func harvestActor(a *actor, out *shardOut) {
 	out.overhead.TotalNetworkBytes += o.NetworkBytes
 }
 
-// sortCanonical orders a worker's buffered events by the canonical merge
-// key: virtual start time, then device ID, then per-device record index.
-// Both runner modes append a device's events in its recording order, so a
-// stable sort on (Start, DeviceID) realizes the full key without storing
-// record indices. The key is a strict total order independent of how
-// devices were partitioned across workers — the foundation of the
-// worker-count-independent dataset ORDER contract (see DESIGN.md).
-func sortCanonical(events []failure.Event) {
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].Start != events[j].Start {
-			return events[i].Start < events[j].Start
-		}
-		return events[i].DeviceID < events[j].DeviceID
-	})
+// chunkShift sets the capacity of one eventBuf chunk: 4096 events. A full
+// chunk is never copied or grown; the sink just starts the next one.
+const (
+	chunkShift = 12
+	chunkLen   = 1 << chunkShift
+)
+
+// eventBuf is a worker's local event output. Events are stored once, in
+// record order, in fixed-capacity chunks; keys, built by sortCanonical,
+// lists them in canonical order without moving them.
+type eventBuf struct {
+	chunks [][]failure.Event
+	n      int
+	keys   []eventKey
 }
 
-// publishMerged k-way-merges the workers' canonically sorted event streams
-// into one exact-size array and publishes it to the dataset as contiguous
-// zero-copy segments (mirroring trace.FromEvents' partitioning). Workers
-// own disjoint device ranges, so (Start, DeviceID) never ties across
-// streams and the merge is a strict total order: the dataset's iteration
-// order is byte-identical for any worker count.
+// eventKey is one buffered event's canonical merge key. idx is the event's
+// position in its eventBuf.
+type eventKey struct {
+	start  time.Duration
+	device uint64
+	idx    int
+}
+
+// add appends a copy of e.
+func (b *eventBuf) add(e *failure.Event) {
+	c := b.n >> chunkShift
+	if c == len(b.chunks) {
+		b.chunks = append(b.chunks, make([]failure.Event, chunkLen))
+	}
+	b.chunks[c][b.n&(chunkLen-1)] = *e
+	b.n++
+}
+
+// at returns the idx-th event added.
+func (b *eventBuf) at(idx int) *failure.Event {
+	return &b.chunks[idx>>chunkShift][idx&(chunkLen-1)]
+}
+
+// sortCanonical builds keys in the canonical merge order: virtual start
+// time, then device ID, then per-device record index. Both runner modes
+// append a device's events in its recording order, so the buffer index
+// stands in for the record index. The key is a strict total order
+// independent of how devices were partitioned across workers — the
+// foundation of the worker-count-independent dataset ORDER contract (see
+// DESIGN.md).
+func (b *eventBuf) sortCanonical() {
+	keys := make([]eventKey, b.n)
+	for i := range keys {
+		e := b.at(i)
+		keys[i] = eventKey{e.Start, e.DeviceID, i}
+	}
+	slices.SortFunc(keys, func(x, y eventKey) int {
+		if c := cmp.Compare(x.start, y.start); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.device, y.device); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.idx, y.idx)
+	})
+	b.keys = keys
+}
+
+// publishMerged k-way-merges the workers' canonically sorted key streams
+// and gathers each event once, from its chunk into one exact-size array,
+// then drops the chunks and keys. The array is published to the dataset
+// as contiguous zero-copy segments (mirroring trace.FromEvents'
+// partitioning). Workers own disjoint device ranges, so (Start, DeviceID)
+// never ties across streams and the merge is a strict total order: the
+// dataset's iteration order is byte-identical for any worker count.
 func publishMerged(dataset *trace.Dataset, outs []shardOut) {
 	total := 0
 	for i := range outs {
-		total += len(outs[i].events)
+		total += len(outs[i].events.keys)
 	}
 	if total == 0 {
 		return
 	}
-	merged := make([]failure.Event, 0, total)
+	merged := make([]failure.Event, total)
 	heads := make([]int, len(outs))
-	for len(merged) < total {
+	for i := range merged {
 		best := -1
+		var bk eventKey
 		for w := range outs {
-			if heads[w] >= len(outs[w].events) {
+			keys := outs[w].events.keys
+			if heads[w] == len(keys) {
 				continue
 			}
-			if best < 0 {
-				best = w
-				continue
-			}
-			a, b := &outs[w].events[heads[w]], &outs[best].events[heads[best]]
-			if a.Start < b.Start || (a.Start == b.Start && a.DeviceID < b.DeviceID) {
-				best = w
+			k := keys[heads[w]]
+			if best < 0 || k.start < bk.start || (k.start == bk.start && k.device < bk.device) {
+				best, bk = w, k
 			}
 		}
-		merged = append(merged, outs[best].events[heads[best]])
+		merged[i] = *outs[best].events.at(bk.idx)
 		heads[best]++
+	}
+	for i := range outs {
+		outs[i].events = eventBuf{}
 	}
 	ns := dataset.NumShards()
 	base, rem := total/ns, total%ns

@@ -100,7 +100,7 @@ func (h *SimHost) ConditionNow() Condition { return h.cond }
 // time or at the timeout. System-side faults black-hole loopback probes.
 func (h *SimHost) pingLoopback(timeout time.Duration, done func(ok bool)) {
 	if h.cond.SystemSide() {
-		h.clock.After(timeout, func() { done(false) })
+		h.clock.PostAfter(timeout, func() { done(false) })
 		return
 	}
 	h.answer(h.LoopbackRTT, timeout, done)
@@ -110,9 +110,9 @@ func (h *SimHost) pingLoopback(timeout time.Duration, done func(ok bool)) {
 func (h *SimHost) pingDNS(timeout time.Duration, done func(ok bool)) {
 	switch h.cond {
 	case NetworkDown:
-		h.clock.After(timeout, func() { done(false) })
+		h.clock.PostAfter(timeout, func() { done(false) })
 	case FirewallMisconfig, ProxyProblem, ModemDriverFailure:
-		h.clock.After(timeout, func() { done(false) })
+		h.clock.PostAfter(timeout, func() { done(false) })
 	default: // Healthy, DNSUnavailable: network reachable
 		h.answer(h.ICMPRTT, timeout, done)
 	}
@@ -124,16 +124,16 @@ func (h *SimHost) queryDNS(timeout time.Duration, done func(ok bool)) {
 	case Healthy:
 		h.answer(h.DNSRTT, timeout, done)
 	default:
-		h.clock.After(timeout, func() { done(false) })
+		h.clock.PostAfter(timeout, func() { done(false) })
 	}
 }
 
 func (h *SimHost) answer(rtt, timeout time.Duration, done func(bool)) {
 	if rtt >= timeout {
-		h.clock.After(timeout, func() { done(false) })
+		h.clock.PostAfter(timeout, func() { done(false) })
 		return
 	}
-	h.clock.After(rtt, func() { done(true) })
+	h.clock.PostAfter(rtt, func() { done(true) })
 }
 
 // Verdict is a probing round's classification.
